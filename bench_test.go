@@ -295,10 +295,11 @@ func BenchmarkAblationTransport(b *testing.B) {
 }
 
 // BenchmarkEBVPartition measures raw EBV throughput (edges/second) across
-// subgraph counts.
+// subgraph counts: k = 8 is the repository default, and k = 100 needs two
+// membership words per vertex.
 func BenchmarkEBVPartition(b *testing.B) {
 	g := ablationGraph(b)
-	for _, k := range []int{4, 16, 64} {
+	for _, k := range []int{4, 8, 16, 64, 100} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			e := ebv.NewEBV()
 			for i := 0; i < b.N; i++ {

@@ -139,71 +139,113 @@ func (e *EBV) PartitionCtx(ctx context.Context, g *graph.Graph, k int) (*partiti
 		return a, nil
 	}
 
+	// Gather the endpoints in processing order, so the greedy loop reads
+	// them sequentially instead of chasing one random edge index per step.
+	// srcAt borrows a.Parts, which is filled only after the loop. Once
+	// edge idx is placed, dstAt[idx] holds its subgraph instead; the
+	// final scatter moves the subgraphs to their edge indices.
 	order := e.edgeOrder(g)
-
-	// keep[i] is the vertex set of subgraph i as a bitset; ecount/vcount
-	// are the running counters of Algorithm 1.
-	keep := make([]partition.Bitset, k)
-	for i := range keep {
-		keep[i] = partition.NewBitset(numV)
+	edges := g.Edges()
+	srcAt, dstAt := a.Parts, make([]int32, numE)
+	for idx, edgeID := range order {
+		ed := edges[edgeID]
+		srcAt[idx], dstAt[idx] = int32(ed.Src), int32(ed.Dst)
 	}
+
+	// keep holds Algorithm 1's per-subgraph vertex sets vertex-major: bit
+	// i of keep[v*words+i/64] says whether v ∈ keep[i], so one edge reads
+	// its endpoints' membership in every subgraph from 2·words adjacent
+	// words. ecount/vcount are the running counters.
+	words := (k + 63) / 64
+	keep := make([]uint64, numV*words)
 	ecount := make([]int, k)
 	vcount := make([]int, k)
 
-	// Precompute the per-unit normalization so the inner loop is
-	// multiply-add only.
+	// base[i] caches subgraph i's two balance terms of Eva; only the
+	// subgraph that wins an edge needs it recomputed. Computing the zero
+	// counts through the same expression keeps even a NaN or +Inf weight
+	// scoring exactly as before.
 	eNorm := e.alpha / (float64(numE) / float64(k))
 	vNorm := e.beta / (float64(numV) / float64(k))
+	balance := func(i int) float64 {
+		return float64(ecount[i])*eNorm + float64(vcount[i])*vNorm
+	}
+	base := make([]float64, k)
+	for i := range base {
+		base[i] = balance(i)
+	}
 
 	totalReplicas := 0
-	for idx, edgeID := range order {
+	for idx := range order {
 		if idx%partition.CancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		ed := g.Edge(int(edgeID))
-		u, v := int(ed.Src), int(ed.Dst)
+		u, v := int(uint32(srcAt[idx])), int(uint32(dstAt[idx]))
+		keepU := keep[u*words : (u+1)*words]
+		keepV := keep[v*words : (v+1)*words]
 
-		best := 0
-		bestScore := math.Inf(1)
-		for i := 0; i < k; i++ {
-			score := float64(ecount[i])*eNorm + float64(vcount[i])*vNorm
-			if !keep[i].Get(u) {
-				score++
-			}
-			if !keep[i].Get(v) {
-				score++
-			}
-			// Strict < keeps the argmin deterministic: ties go to the
-			// lowest subgraph id, matching a left-to-right arg min.
-			if score < bestScore {
-				bestScore = score
-				best = i
-			}
-		}
+		best := argmin(base, keepU, keepV)
 
-		a.Parts[edgeID] = int32(best)
+		dstAt[idx] = int32(best)
 		ecount[best]++
-		if !keep[best].Get(u) {
-			keep[best].Set(u)
-			vcount[best]++
-			totalReplicas++
-		}
-		if !keep[best].Get(v) {
-			keep[best].Set(v)
-			vcount[best]++
-			totalReplicas++
-		}
+		// Set both endpoints' bits and count the ones that were missing;
+		// for a self-loop keepU and keepV are the same row, so v sees u's
+		// update and the vertex is counted once.
+		w, b := best/64, uint(best%64)
+		newU := int(^keepU[w] >> b & 1)
+		keepU[w] |= 1 << b
+		newV := int(^keepV[w] >> b & 1)
+		keepV[w] |= 1 << b
+		vcount[best] += newU + newV
+		totalReplicas += newU + newV
+		base[best] = balance(best)
 
 		if e.growth != nil && e.growthEvery > 0 && (idx+1)%e.growthEvery == 0 {
 			e.growth(idx+1, float64(totalReplicas)/float64(numV))
 		}
 	}
-	if e.growth != nil && e.growthEvery > 0 {
+	// The loop already reported the final sample when |E| is a multiple of
+	// growthEvery.
+	if e.growth != nil && e.growthEvery > 0 && numE%e.growthEvery != 0 {
 		e.growth(numE, float64(totalReplicas)/float64(numV))
 	}
+	for idx, edgeID := range order {
+		a.Parts[edgeID] = dstAt[idx]
+	}
 	return a, nil
+}
+
+// argmin returns the subgraph i minimizing Eva(u,v)(i) = base[i] +
+// I(u ∉ keep[i]) + I(v ∉ keep[i]), given u's and v's membership words.
+//
+// The indicator terms are added as 0.0 or 1.0 from the inverted membership
+// bits; adding 0.0 is exact, so every score equals the one Algorithm 1
+// computes with branches, bit for bit. Scores are never negative (α, β ≥ 0,
+// and adding +0.0 turns -0 into +0), so their bit patterns order exactly as
+// the floats do, with NaN above +Inf and never chosen; comparing them as
+// integers lets the argmin compile to conditional moves instead of a
+// data-dependent branch.
+func argmin(base []float64, keepU, keepV []uint64) int {
+	best := 0
+	bestBits := math.Float64bits(math.Inf(1))
+	for w, inU := range keepU {
+		missU, missV := ^inU, ^keepV[w]
+		for b, score := range base[w*64 : min(len(base), (w+1)*64)] {
+			score += float64(int64(missU & 1))
+			score += float64(int64(missV & 1))
+			missU >>= 1
+			missV >>= 1
+			// Strict < keeps the argmin deterministic: ties go to the
+			// lowest subgraph id, matching a left-to-right arg min.
+			if bits := math.Float64bits(score); bits < bestBits {
+				bestBits = bits
+				best = w*64 + b
+			}
+		}
+	}
+	return best
 }
 
 // edgeOrder materializes the configured processing order.

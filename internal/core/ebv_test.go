@@ -1,7 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -212,27 +218,36 @@ func TestTheoremBoundsQuick(t *testing.T) {
 
 func TestGrowthTracking(t *testing.T) {
 	g := powerLawGraph(t, 2.2, 5)
-	var samples []float64
-	var positions []int
-	e := New(WithGrowthTracking(1000, func(processed int, rf float64) {
-		positions = append(positions, processed)
-		samples = append(samples, rf)
-	}))
-	if _, err := e.Partition(g, 8); err != nil {
-		t.Fatal(err)
+	numE := g.NumEdges()
+	// An exact divisor of |E| (the loop's own sample is the final one)
+	// and a non-divisor (the final sample comes after the loop).
+	n := 20
+	for numE%n != 0 {
+		n++
 	}
-	if len(samples) < 10 {
-		t.Fatalf("only %d growth samples", len(samples))
-	}
-	// RF is monotonically non-decreasing along the stream.
-	for i := 1; i < len(samples); i++ {
-		if samples[i] < samples[i-1] {
-			t.Fatalf("RF decreased at sample %d: %g -> %g", i, samples[i-1], samples[i])
+	for _, every := range []int{numE / n, numE/n + 1} {
+		var growth growthLog
+		e := New(WithGrowthTracking(every, growth.record))
+		if _, err := e.Partition(g, 8); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Final sample covers the full edge count.
-	if positions[len(positions)-1] != g.NumEdges() {
-		t.Fatalf("last sample at %d, want %d", positions[len(positions)-1], g.NumEdges())
+		positions, samples := growth.positions, growth.rf
+		if want := (numE + every - 1) / every; len(samples) != want {
+			t.Fatalf("every=%d: %d growth samples, want ⌈%d/%d⌉ = %d", every, len(samples), numE, every, want)
+		}
+		for i := 1; i < len(samples); i++ {
+			if positions[i] <= positions[i-1] {
+				t.Fatalf("every=%d: positions not strictly increasing at %d: %v", every, i, positions)
+			}
+			// RF is monotonically non-decreasing along the stream.
+			if samples[i] < samples[i-1] {
+				t.Fatalf("every=%d: RF decreased at sample %d: %g -> %g", every, i, samples[i-1], samples[i])
+			}
+		}
+		// Final sample covers the full edge count.
+		if last := positions[len(positions)-1]; last != numE {
+			t.Fatalf("every=%d: last sample at %d, want %d", every, last, numE)
+		}
 	}
 }
 
@@ -266,5 +281,148 @@ func TestAlphaBetaAccessors(t *testing.T) {
 	e := New(WithAlpha(2.5), WithBeta(0.25))
 	if e.Alpha() != 2.5 || e.Beta() != 0.25 {
 		t.Fatalf("accessors returned %g/%g", e.Alpha(), e.Beta())
+	}
+}
+
+// referencePartition is Algorithm 1 as first written: one Bitset per
+// subgraph and a branchy score loop. PartitionCtx must reproduce its
+// assignment and growth samples exactly; only the duplicate final growth
+// sample on an exact multiple of growthEvery is fixed here as well.
+func referencePartition(e *EBV, g *graph.Graph, k int) *partition.Assignment {
+	numE, numV := g.NumEdges(), g.NumVertices()
+	a := partition.NewAssignment(k, numE)
+	if numE == 0 {
+		return a
+	}
+	order := e.edgeOrder(g)
+	keep := make([]partition.Bitset, k)
+	for i := range keep {
+		keep[i] = partition.NewBitset(numV)
+	}
+	ecount := make([]int, k)
+	vcount := make([]int, k)
+	eNorm := e.alpha / (float64(numE) / float64(k))
+	vNorm := e.beta / (float64(numV) / float64(k))
+
+	totalReplicas := 0
+	for idx, edgeID := range order {
+		ed := g.Edge(int(edgeID))
+		u, v := int(ed.Src), int(ed.Dst)
+
+		best := 0
+		bestScore := math.Inf(1)
+		for i := 0; i < k; i++ {
+			score := float64(ecount[i])*eNorm + float64(vcount[i])*vNorm
+			if !keep[i].Get(u) {
+				score++
+			}
+			if !keep[i].Get(v) {
+				score++
+			}
+			if score < bestScore {
+				bestScore = score
+				best = i
+			}
+		}
+
+		a.Parts[edgeID] = int32(best)
+		ecount[best]++
+		if !keep[best].Get(u) {
+			keep[best].Set(u)
+			vcount[best]++
+			totalReplicas++
+		}
+		if !keep[best].Get(v) {
+			keep[best].Set(v)
+			vcount[best]++
+			totalReplicas++
+		}
+
+		if e.growth != nil && e.growthEvery > 0 && (idx+1)%e.growthEvery == 0 {
+			e.growth(idx+1, float64(totalReplicas)/float64(numV))
+		}
+	}
+	if e.growth != nil && e.growthEvery > 0 && numE%e.growthEvery != 0 {
+		e.growth(numE, float64(totalReplicas)/float64(numV))
+	}
+	return a
+}
+
+// growthLog records growth samples for comparison.
+type growthLog struct {
+	positions []int
+	rf        []float64
+}
+
+func (l *growthLog) record(processed int, rf float64) {
+	l.positions = append(l.positions, processed)
+	l.rf = append(l.rf, rf)
+}
+
+// TestPartitionMatchesReference checks PartitionCtx against the reference
+// loop across every order, subgraph counts on both sides of the one-word
+// and multi-word membership boundaries, and several (α, β).
+func TestPartitionMatchesReference(t *testing.T) {
+	// A multigraph with repeated pairs, self-loops and isolated vertices,
+	// beside a power-law graph.
+	r := rand.New(rand.NewPCG(5, 17))
+	multi := make([]graph.Edge, 3000)
+	for i := range multi {
+		multi[i] = graph.Edge{Src: graph.VertexID(r.IntN(300)), Dst: graph.VertexID(r.IntN(300))}
+	}
+	mg, err := graph.New(320, multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := gen.PowerLaw(gen.PowerLawConfig{
+		NumVertices: 1500, NumEdges: 9000, Eta: 2.0, Directed: true, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{"multigraph": mg, "powerlaw": pl}
+	const every = 700 // not a divisor of either edge count
+
+	for name, g := range graphs {
+		for _, order := range []Order{OrderSorted, OrderInput, OrderSortedDesc} {
+			for _, k := range []int{1, 2, 8, 63, 64, 65, 130} {
+				for _, ab := range [][2]float64{{1, 1}, {0, 1}, {1, 0}, {0.5, 2}} {
+					label := fmt.Sprintf("%s/%s/k%d/a%g-b%g", name, order, k, ab[0], ab[1])
+					var wantLog, gotLog growthLog
+					opts := []Option{WithOrder(order), WithAlpha(ab[0]), WithBeta(ab[1])}
+					want := referencePartition(New(append(opts, WithGrowthTracking(every, wantLog.record))...), g, k)
+					got, err := New(append(opts, WithGrowthTracking(every, gotLog.record))...).PartitionCtx(context.Background(), g, k)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got.K != want.K || !slices.Equal(got.Parts, want.Parts) {
+						t.Fatalf("%s: assignment differs from the reference loop", label)
+					}
+					if !slices.Equal(gotLog.positions, wantLog.positions) || !slices.Equal(gotLog.rf, wantLog.rf) {
+						t.Fatalf("%s: growth samples differ: got %v %v, want %v %v",
+							label, gotLog.positions, gotLog.rf, wantLog.positions, wantLog.rf)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelEBVPinned pins ParallelEBV's assignment on a fixed graph by
+// its FNV-64a digest, so a change to the shared degree-sum sort cannot
+// drift it unnoticed.
+func TestParallelEBVPinned(t *testing.T) {
+	g := powerLawGraph(t, 2.2, 1)
+	a, err := (&ParallelEBV{Workers: 4}).Partition(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, p := range a.Parts {
+		h.Write([]byte{byte(p)})
+	}
+	const want = uint64(0xb17c2b650c418b03)
+	if got := h.Sum64(); got != want {
+		t.Fatalf("ParallelEBV assignment digest %#x, want %#x", got, want)
 	}
 }

@@ -31,8 +31,8 @@ type ParallelEBV struct {
 	EpochEdges int
 	// Alpha and Beta are the evaluation-function weights (0 selects 1).
 	Alpha, Beta float64
-	// Sorted applies the §IV-C degree-sum sort before sharding (default
-	// true semantics: set NoSort to disable).
+	// NoSort skips the §IV-C degree-sum sort, so shards are carved from
+	// the input edge order; by default edges are sorted before sharding.
 	NoSort bool
 }
 

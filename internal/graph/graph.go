@@ -12,7 +12,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // VertexID identifies a vertex. Vertex IDs are dense: a graph with n
@@ -130,29 +129,60 @@ func (g *Graph) MaxDegree() int {
 }
 
 // SortedBySumDegree returns a new slice of edge indices ordered ascending by
-// the sum of end-vertex total degrees, breaking ties by (src, dst) so the
-// order is fully deterministic. This is the paper's §IV-C sorting
-// preprocessing; it is exposed here because multiple partitioners and the
-// Figure 5 harness reuse it.
+// the sum of end-vertex total degrees, breaking ties by (src, dst) and then
+// by input index, so the order is fully deterministic. This is the paper's
+// §IV-C sorting preprocessing; it is exposed here because multiple
+// partitioners and the Figure 5 harness reuse it.
+//
+// It is an LSD radix sort: three stable counting passes over edge indices,
+// keyed by dst, then src, then degree sum (at most 2·MaxDegree). Starting
+// from the identity permutation, each stable pass keeps the order of the
+// previous ones among equal keys, which yields the total order above in
+// O(|E| + |V| + MaxDegree) time with one scratch index slice.
 func (g *Graph) SortedBySumDegree() []int32 {
-	order := make([]int32, len(g.edges))
-	for i := range order {
-		order[i] = int32(i)
+	n := len(g.edges)
+	deg := make([]int32, g.numVertices)
+	maxDeg := int32(0)
+	for v := range deg {
+		deg[v] = g.outDeg[v] + g.inDeg[v]
+		maxDeg = max(maxDeg, deg[v])
 	}
-	key := func(i int32) int64 {
+	byDst := func(i int32) int { return int(g.edges[i].Dst) }
+	bySrc := func(i int32) int { return int(g.edges[i].Src) }
+	bySum := func(i int32) int {
 		e := g.edges[i]
-		return int64(g.outDeg[e.Src]+g.inDeg[e.Src]) + int64(g.outDeg[e.Dst]+g.inDeg[e.Dst])
+		return int(deg[e.Src]) + int(deg[e.Dst])
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := key(order[a]), key(order[b])
-		if ka != kb {
-			return ka < kb
-		}
-		ea, eb := g.edges[order[a]], g.edges[order[b]]
-		if ea.Src != eb.Src {
-			return ea.Src < eb.Src
-		}
-		return ea.Dst < eb.Dst
-	})
-	return order
+
+	// Three stable passes from the identity permutation ping-pong between
+	// the two slices and leave the result in b.
+	a := make([]int32, n)
+	for i := range a {
+		a[i] = int32(i)
+	}
+	b := make([]int32, n)
+	counts := make([]int32, max(g.numVertices, 2*int(maxDeg)+1)+1)
+	countingPass(b, a, byDst, counts[:g.numVertices+1])
+	countingPass(a, b, bySrc, counts[:g.numVertices+1])
+	countingPass(b, a, bySum, counts[:2*int(maxDeg)+2])
+	return b
+}
+
+// countingPass stably sorts src, a permutation of the edge indices, by key
+// into dst. counts must have one more slot than the largest key; it is
+// overwritten. The histogram does not depend on order, so it reads the
+// edges sequentially rather than through src.
+func countingPass(dst, src []int32, key func(int32) int, counts []int32) {
+	clear(counts)
+	for i := range src {
+		counts[key(int32(i))+1]++
+	}
+	for b := 1; b < len(counts); b++ {
+		counts[b] += counts[b-1]
+	}
+	for _, i := range src {
+		k := key(i)
+		dst[counts[k]] = i
+		counts[k]++
+	}
 }

@@ -2,6 +2,10 @@ package graph
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -113,6 +117,90 @@ func TestSortedBySumDegreeDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("order differs at %d", i)
+		}
+	}
+}
+
+// referenceSortedBySumDegree is the comparison sort the counting passes of
+// SortedBySumDegree replace: a stable sort by (degree sum, src, dst), so
+// equal keys keep input order.
+func referenceSortedBySumDegree(g *Graph) []int32 {
+	order := make([]int32, g.NumEdges())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	key := func(i int32) int64 {
+		e := g.edges[i]
+		return int64(g.outDeg[e.Src]+g.inDeg[e.Src]) + int64(g.outDeg[e.Dst]+g.inDeg[e.Dst])
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ka, kb := key(order[a]), key(order[b])
+		if ka != kb {
+			return ka < kb
+		}
+		ea, eb := g.edges[order[a]], g.edges[order[b]]
+		if ea.Src != eb.Src {
+			return ea.Src < eb.Src
+		}
+		return ea.Dst < eb.Dst
+	})
+	return order
+}
+
+// randomMultigraph draws m edges over the first used of n vertices, so
+// vertices [used, n) stay isolated; pairs repeat and self-loops occur
+// because endpoints are drawn independently from a small range.
+func randomMultigraph(r *rand.Rand, n, used, m int) []Edge {
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{Src: VertexID(r.IntN(used)), Dst: VertexID(r.IntN(used))}
+	}
+	return edges
+}
+
+func TestSortedBySumDegreeMatchesStableSort(t *testing.T) {
+	type tc struct {
+		name string
+		g    *Graph
+	}
+	var cases []tc
+	r := rand.New(rand.NewPCG(13, 2021))
+	for i := range 40 {
+		n := 1 + r.IntN(60)
+		used := 1 + r.IntN(n)
+		g := mustGraph(t, n, randomMultigraph(r, n, used, r.IntN(400)))
+		cases = append(cases, tc{name: fmt.Sprintf("random%d", i), g: g})
+	}
+	cases = append(cases,
+		tc{"empty", mustGraph(t, 0, nil)},
+		tc{"isolated", mustGraph(t, 7, nil)},
+		tc{"single-vertex-loops", mustGraph(t, 1, []Edge{{0, 0}, {0, 0}, {0, 0}})},
+	)
+	und, err := NewUndirected(50, randomMultigraph(r, 50, 40, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, tc{"undirected", und})
+	// A hub star: the hub's degree sum sits at the top of the bucket range
+	// and every star edge ties on it, so (src, dst, index) decide.
+	var star []Edge
+	for i := range 500 {
+		leaf := VertexID(1 + i%200)
+		if i%2 == 0 {
+			star = append(star, Edge{Src: 0, Dst: leaf})
+		} else {
+			star = append(star, Edge{Src: leaf, Dst: 0})
+		}
+	}
+	star = append(star, Edge{0, 0}, Edge{201, 202}, Edge{202, 201})
+	cases = append(cases, tc{"hub-star", mustGraph(t, 210, star)})
+
+	for _, c := range cases {
+		got := c.g.SortedBySumDegree()
+		want := referenceSortedBySumDegree(c.g)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s (|V|=%d |E|=%d): order differs from the stable sort\n got %v\nwant %v",
+				c.name, c.g.NumVertices(), c.g.NumEdges(), got, want)
 		}
 	}
 }
