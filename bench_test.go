@@ -276,20 +276,18 @@ func BenchmarkAblationTransport(b *testing.B) {
 	})
 	b.Run("tcp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mesh, err := transport.NewTCPMesh(4)
+			mesh, err := transport.NewTCPMeshDeployment(b.Context(), 4)
 			if err != nil {
 				b.Fatal(err)
 			}
-			trs := make([]transport.Transport, 4)
-			for j := range trs {
-				trs[j] = mesh[j]
+			trs, err := mesh.OpenJob(1, 1)
+			if err != nil {
+				b.Fatal(err)
 			}
 			if _, err := bsp.Run(subs, &apps.CC{}, bsp.Config{Transports: trs}); err != nil {
 				b.Fatal(err)
 			}
-			for _, tr := range mesh {
-				_ = tr.Close()
-			}
+			_ = mesh.Close()
 		}
 	})
 }

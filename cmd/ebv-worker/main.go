@@ -152,7 +152,7 @@ func run(ctx context.Context) (err error) {
 		return fmt.Errorf("unknown app %q (valid: CC, PR, SSSP, AGG)", *app)
 	}
 
-	tr, err := ebv.NewTCPWorkerCtx(ctx, *worker, addrs, *timeout)
+	tr, err := ebv.NewTCPWorker(ctx, *worker, addrs, nil, *timeout, *width)
 	if err != nil {
 		return err
 	}

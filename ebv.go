@@ -292,13 +292,12 @@ var (
 	ReadSubgraph                   = bsp.ReadSubgraph
 	RunBSP                         = bsp.Run
 	RunBSPCtx                      = bsp.RunCtx
-	RunBSPWorker                   = bsp.RunWorker
 	RunBSPWorkerCtx                = bsp.RunWorkerCtx
 	NewMemTransport                = transport.NewMem
-	NewTCPMesh                     = transport.NewTCPMesh
-	NewTCPMeshCtx                  = transport.NewTCPMeshCtx
-	NewTCPWorker                   = transport.NewTCPWorker
-	NewTCPWorkerCtx                = transport.NewTCPWorkerCtx
+	// NewTCPWorker wires one worker's endpoint of a multi-process TCP
+	// mesh (the transport RunBSPWorkerCtx runs over in ebv-worker's
+	// standalone mode).
+	NewTCPWorker = transport.NewTCPWorker
 	// NewBSPDeployment binds built subgraphs to a transport deployment
 	// (nil = in-memory) for prepare-once/serve-many execution; the Session
 	// facade (Pipeline.Open) wraps it.

@@ -1,12 +1,16 @@
 // distributed-tcp: the same subgraph-centric CC computation as
 // examples/social-cc, but with workers exchanging replica updates over a
-// real TCP mesh (loopback here; a multi-host deployment dials remote
-// addresses with the identical frame protocol — see internal/transport).
+// real TCP loopback mesh (ebv.NewTCPMeshDeployment, one job opened on
+// it). Every frame is wire v4 — compressed columns sealed with a CRC-32C
+// — and each worker's end of the mesh is the same endpoint a
+// multi-process run builds with ebv.NewTCPWorker (ebv-worker -peers, the
+// cluster's workers), wired the same way.
 //
 // Run with: go run ./examples/distributed-tcp
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -42,18 +46,14 @@ func run() error {
 		return err
 	}
 
-	mesh, err := ebv.NewTCPMesh(workers)
+	mesh, err := ebv.NewTCPMeshDeployment(context.Background(), workers)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, tr := range mesh {
-			_ = tr.Close()
-		}
-	}()
-	transports := make([]ebv.Transport, workers)
-	for i := range transports {
-		transports[i] = mesh[i]
+	defer mesh.Close()
+	transports, err := mesh.OpenJob(1, 1) // job 1, one float per message
+	if err != nil {
+		return err
 	}
 
 	start := time.Now()
@@ -63,8 +63,8 @@ func run() error {
 	}
 	fmt.Printf("CC over %d TCP workers: %d supersteps in %v\n",
 		workers, res.Steps, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("messages on the wire: %d (avg comm per worker %v)\n",
-		res.TotalMessages(), res.AvgComm().Round(time.Microsecond))
+	fmt.Printf("messages on the wire: %d in %d bytes (avg comm per worker %v)\n",
+		res.TotalMessages(), mesh.WireBytes(), res.AvgComm().Round(time.Microsecond))
 
 	want := ebv.SequentialCC(g)
 	for v := range want {

@@ -14,19 +14,18 @@ import (
 	"ebv/internal/transport"
 )
 
-// tcpTransports builds a loopback mesh sized to k and returns it as the
-// Transport slice a Config wants.
-func tcpTransports(t *testing.T, k int) []transport.Transport {
+// tcpTransports builds a loopback mesh sized to k and returns one
+// width-wide job on it as the Transport slice a Config wants.
+func tcpTransports(t *testing.T, k, width int) []transport.Transport {
 	t.Helper()
-	mesh, err := transport.NewTCPMesh(k)
+	mesh, err := transport.NewTCPMeshDeployment(t.Context(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trs := make([]transport.Transport, k)
-	for i := range trs {
-		trs[i] = mesh[i]
-		tr := mesh[i]
-		t.Cleanup(func() { _ = tr.Close() })
+	t.Cleanup(func() { _ = mesh.Close() })
+	trs, err := mesh.OpenJob(1, width)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return trs
 }
@@ -47,7 +46,7 @@ func TestMemTCPEquivalenceMultiWidth(t *testing.T) {
 		}
 		tcpRes, err := bsp.Run(subs, prog, bsp.Config{
 			ValueWidth:             width,
-			Transports:             tcpTransports(t, k),
+			Transports:             tcpTransports(t, k, width),
 			VerifyReplicaAgreement: true,
 		})
 		if err != nil {

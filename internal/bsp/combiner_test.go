@@ -58,7 +58,7 @@ func TestCombinerEquivalenceAllApps(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/w%d/%s", prog.Name(), width, trName), func(t *testing.T) {
 					cfg := bsp.Config{ValueWidth: width, VerifyReplicaAgreement: true}
 					if trName == "tcp" {
-						cfg.Transports = tcpTransports(t, k)
+						cfg.Transports = tcpTransports(t, k, width)
 					}
 					off, err := bsp.Run(subs, prog, cfg)
 					if err != nil {
@@ -66,7 +66,7 @@ func TestCombinerEquivalenceAllApps(t *testing.T) {
 					}
 					cfg.AutoCombine = true
 					if trName == "tcp" {
-						cfg.Transports = tcpTransports(t, k)
+						cfg.Transports = tcpTransports(t, k, width)
 					}
 					on, err := bsp.Run(subs, prog, cfg)
 					if err != nil {
@@ -252,7 +252,7 @@ func TestCombinerSenderSideStrictReduction(t *testing.T) {
 			t.Run(tc.name+"/"+trName, func(t *testing.T) {
 				cfg := bsp.Config{VerifyReplicaAgreement: true}
 				if trName == "tcp" {
-					cfg.Transports = tcpTransports(t, k)
+					cfg.Transports = tcpTransports(t, k, 1)
 				}
 				off, err := bsp.Run(tc.subs, &fanInDegree{}, cfg)
 				if err != nil {
@@ -260,7 +260,7 @@ func TestCombinerSenderSideStrictReduction(t *testing.T) {
 				}
 				cfg.AutoCombine = true
 				if trName == "tcp" {
-					cfg.Transports = tcpTransports(t, k)
+					cfg.Transports = tcpTransports(t, k, 1)
 				}
 				on, err := bsp.Run(tc.subs, &fanInDegree{}, cfg)
 				if err != nil {

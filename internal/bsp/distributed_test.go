@@ -75,9 +75,10 @@ func freePorts(t *testing.T, n int) []string {
 }
 
 // TestMultiProcessStyleRun exercises the full ebv-worker path in-process:
-// subgraphs serialized and reloaded, address-based TCP mesh built with
-// NewTCPWorker, each worker driven independently by RunWorker — exactly
-// what separate OS processes would do.
+// subgraphs serialized and reloaded, one address-based NewTCPWorker
+// endpoint per worker, each driven independently by RunWorkerCtx and
+// closed as soon as it finishes — exactly what separate OS processes
+// would do.
 func TestMultiProcessStyleRun(t *testing.T) {
 	g := testGraphs(t)["powerlaw"]
 	const k = 3
@@ -105,13 +106,13 @@ func TestMultiProcessStyleRun(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tr, err := transport.NewTCPWorker(w, addrs, 15*time.Second)
+			tr, err := transport.NewTCPWorker(t.Context(), w, addrs, nil, 15*time.Second, 1)
 			if err != nil {
 				errs[w] = fmt.Errorf("transport: %w", err)
 				return
 			}
 			defer tr.Close()
-			results[w], errs[w] = bsp.RunWorker(reloaded[w], &apps.CC{}, tr, bsp.Config{})
+			results[w], errs[w] = bsp.RunWorkerCtx(t.Context(), reloaded[w], &apps.CC{}, tr, bsp.Config{})
 		}(w)
 	}
 	wg.Wait()
@@ -142,20 +143,23 @@ func TestRunWorkerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if _, err := bsp.RunWorker(subs[0], &apps.CC{}, mem, bsp.Config{}); err == nil {
+	if _, err := bsp.RunWorkerCtx(t.Context(), subs[0], &apps.CC{}, mem, bsp.Config{}); err == nil {
 		t.Fatal("mismatched transport accepted")
 	}
-	if _, err := bsp.RunWorker(nil, &apps.CC{}, mem, bsp.Config{}); err == nil {
+	if _, err := bsp.RunWorkerCtx(t.Context(), nil, &apps.CC{}, mem, bsp.Config{}); err == nil {
 		t.Fatal("nil subgraph accepted")
 	}
 }
 
 func TestNewTCPWorkerValidation(t *testing.T) {
-	if _, err := transport.NewTCPWorker(5, []string{"a", "b"}, time.Second); err == nil {
+	if _, err := transport.NewTCPWorker(t.Context(), 5, []string{"a", "b"}, nil, time.Second, 1); err == nil {
 		t.Fatal("out-of-range worker accepted")
 	}
+	if _, err := transport.NewTCPWorker(t.Context(), 0, []string{"unused"}, nil, time.Second, 0); err == nil {
+		t.Fatal("width 0 accepted")
+	}
 	// Single worker needs no peers at all.
-	tr, err := transport.NewTCPWorker(0, []string{"unused"}, time.Second)
+	tr, err := transport.NewTCPWorker(t.Context(), 0, []string{"unused"}, nil, time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,7 @@ func TestNewTCPWorkerValidation(t *testing.T) {
 func TestNewTCPWorkerTimesOutWithoutPeers(t *testing.T) {
 	addrs := freePorts(t, 2)
 	start := time.Now()
-	_, err := transport.NewTCPWorker(1, addrs, 500*time.Millisecond)
+	_, err := transport.NewTCPWorker(t.Context(), 1, addrs, nil, 500*time.Millisecond, 1)
 	if err == nil {
 		t.Fatal("lonely worker connected to nobody")
 	}

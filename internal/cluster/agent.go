@@ -48,7 +48,7 @@ type Agent struct {
 	killed bool
 	conn   net.Conn     // control connection
 	ln     net.Listener // pending data-plane listener, between prepare and start
-	tr     *transport.TCP
+	tr     transport.Transport
 }
 
 // NewAgent builds an agent; Run does the work.
@@ -296,7 +296,7 @@ func (a *Agent) serve(ctx context.Context, sub *bsp.Subgraph, p *pendingAttempt,
 		_ = p.ln.Close()
 		return err
 	}
-	tr, err := transport.NewTCPWorkerListenerCtx(ctx, sub.Part, addrs, p.ln, a.cfg.DialTimeout)
+	tr, err := transport.NewTCPWorker(ctx, sub.Part, addrs, p.ln, a.cfg.DialTimeout, p.spec.width())
 	a.mu.Lock()
 	if a.ln == p.ln {
 		a.ln = nil

@@ -16,9 +16,9 @@ import (
 //     the caller's cancellation. The one sanctioned idiom is the
 //     documented nil-fallback `if ctx == nil { ctx = context.Background() }`
 //     at an entry point that accepts a caller context. The ctx-less
-//     compatibility wrappers (bsp.Run, transport.NewTCPMesh, the legacy
-//     Partition methods) carry //ebv:nolint annotations: they are the
-//     deliberate, documented exceptions.
+//     compatibility wrappers (bsp.Run and the legacy Partition methods of
+//     Fennel, HDRF and Hybrid) carry //ebv:nolint annotations: they are
+//     the deliberate, documented exceptions.
 //  2. exported functions shaped like unbounded loops — a `for {}`
 //     without condition, a select inside a loop, or a net.Listener
 //     Accept loop — must take a context.Context (or belong to a type

@@ -96,17 +96,21 @@ func TestBatchPoolRecycleAndPoison(t *testing.T) {
 	RecycleBatch(nil) // nil-safe
 }
 
-// frameRoundTrip pushes one batch through writeFrame/readFrame.
+// frameRoundTrip pushes one batch through the v3 writeJobFrame/readJobFrame
+// (raw columns through the 64 KiB block codec).
 func frameRoundTrip(t *testing.T, step int, active bool, b *MessageBatch) (int, bool, *MessageBatch) {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	if err := writeFrame(bw, step, active, b); err != nil {
+	if err := writeJobFrame(bw, 7, step, active, b); err != nil {
 		t.Fatal(err)
 	}
-	gotStep, gotActive, got, err := readFrame(bufio.NewReader(&buf))
+	job, gotStep, gotActive, got, err := readJobFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if job != 7 {
+		t.Fatalf("job %d, want 7", job)
 	}
 	return gotStep, gotActive, got
 }
@@ -142,10 +146,10 @@ func TestFrameRoundTrip(t *testing.T) {
 // must fail the magic check with a diagnostic, not desynchronize.
 func TestFrameRejectsLegacyFormat(t *testing.T) {
 	legacy := make([]byte, 9+12)
-	binary.LittleEndian.PutUint32(legacy[0:4], 2) // step — read as magic by v2
+	binary.LittleEndian.PutUint32(legacy[0:4], 2) // step — read as the magic
 	legacy[4] = 1
 	binary.LittleEndian.PutUint32(legacy[5:9], 1)
-	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(legacy)))
+	_, _, _, _, err := readJobFrame(bufio.NewReader(bytes.NewReader(legacy)))
 	if err == nil {
 		t.Fatal("legacy frame accepted")
 	}
@@ -156,11 +160,11 @@ func TestFrameRejectsLegacyFormat(t *testing.T) {
 
 func TestFrameRejectsCorruptHeaders(t *testing.T) {
 	mk := func(width, count, idBytes uint32) []byte {
-		buf := make([]byte, frameHeaderBytes+4)
-		binary.LittleEndian.PutUint32(buf[0:4], frameMagic)
-		binary.LittleEndian.PutUint32(buf[9:13], width)
-		binary.LittleEndian.PutUint32(buf[13:17], count)
-		binary.LittleEndian.PutUint32(buf[17:21], idBytes)
+		buf := make([]byte, jobFrameHeaderBytes+4)
+		binary.LittleEndian.PutUint32(buf[0:4], jobFrameMagic)
+		binary.LittleEndian.PutUint32(buf[13:17], width)
+		binary.LittleEndian.PutUint32(buf[17:21], count)
+		binary.LittleEndian.PutUint32(buf[21:25], idBytes)
 		return buf
 	}
 	cases := map[string][]byte{
@@ -171,7 +175,7 @@ func TestFrameRejectsCorruptHeaders(t *testing.T) {
 		"overflow-values": mk(1<<16, 1<<28, 4<<28&0xffffffff),
 	}
 	for name, frame := range cases {
-		if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
+		if _, _, _, _, err := readJobFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

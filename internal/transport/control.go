@@ -8,8 +8,8 @@ import (
 )
 
 // Control-channel frames: the cluster control plane (coordinator ↔ worker
-// agents) speaks a third wire format alongside the v2 single-job frames
-// ("EBVM") and the v3 job-mux frames ("EBVJ"). Control frames are not
+// agents) speaks its own wire format alongside the job-mux data frames
+// (v3 "EBVJ", v4 "EBV4"). Control frames are not
 // message batches — they carry opaque payloads (registration, shard
 // shipment, job prepare/start, heartbeats) whose schema lives one layer up
 // in internal/cluster. This codec only guarantees framing integrity:

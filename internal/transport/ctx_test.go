@@ -7,15 +7,16 @@ import (
 	"time"
 )
 
-// TestNewTCPWorkerCtxCancelWhileWaiting: a worker waiting for peers that
-// never come up must abort on cancellation well before its dial timeout.
-func TestNewTCPWorkerCtxCancelWhileWaiting(t *testing.T) {
+// TestNewTCPWorkerCancelWhileWaiting: a per-process endpoint waiting
+// for peers that never come up must abort on cancellation well before its
+// dial timeout.
+func TestNewTCPWorkerCancelWhileWaiting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		// Worker 1 of 2: it must accept a connection from worker 0,
 		// which never arrives.
-		_, err := NewTCPWorkerCtx(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, time.Minute)
+		_, err := NewTCPWorker(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, nil, time.Minute, 1)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -26,16 +27,17 @@ func TestNewTCPWorkerCtxCancelWhileWaiting(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("NewTCPWorkerCtx ignored cancellation (would have waited out the full minute)")
+		t.Fatal("NewTCPWorker ignored cancellation (would have waited out the full minute)")
 	}
 }
 
-// TestNewTCPWorkerCtxPreCanceled fails fast without listening.
-func TestNewTCPWorkerCtxPreCanceled(t *testing.T) {
+// TestNewTCPWorkerPreCanceled: a pre-canceled context fails the wiring
+// at once.
+func TestNewTCPWorkerPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := NewTCPWorkerCtx(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, time.Minute)
+	_, err := NewTCPWorker(ctx, 1, []string{"127.0.0.1:1", "127.0.0.1:0"}, nil, time.Minute, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -44,17 +46,21 @@ func TestNewTCPWorkerCtxPreCanceled(t *testing.T) {
 	}
 }
 
-// TestNewTCPMeshCtxBackground: the ctx constructor with a live context
+// TestNewTCPMeshDeploymentBackground: a live, never-canceled context
 // builds a working mesh (sanity that the plumbing changed nothing).
-func TestNewTCPMeshCtxBackground(t *testing.T) {
-	mesh, err := NewTCPMeshCtx(context.Background(), 3)
+func TestNewTCPMeshDeploymentBackground(t *testing.T) {
+	mesh, err := NewTCPMeshDeployment(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range mesh {
+	defer mesh.Close()
+	trs, err := mesh.OpenJob(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range trs {
 		if tr.NumWorkers() != 3 {
 			t.Fatalf("NumWorkers = %d, want 3", tr.NumWorkers())
 		}
-		_ = tr.Close()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,19 +13,21 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"ebv/internal/graph"
 )
 
 // TCPMeshDeployment is the TCP Deployment: a full loopback mesh wired once
-// and shared by every job. Where the single-job TCP transport owns its
-// connections and keeps streams aligned by writing exactly one frame per
-// peer per step, the deployment multiplexes many jobs over the same
-// connections, so every frame is tagged with its job id (wire format v3,
-// magic "EBVJ") and a per-connection demux goroutine routes incoming
-// frames to the owning job's inbox. Interleaved jobs' batches therefore
-// never cross: a frame for job j is only ever delivered to job j's
-// Exchange, a frame whose width disagrees with the job's fails that job
-// loudly, and a frame for a job the deployment has never opened kills the
-// node (cross-job corruption is a protocol violation, not noise).
+// and shared by every job. It multiplexes many jobs over the same
+// connections, so every frame is tagged with its job id and a
+// per-connection demux goroutine routes incoming frames to the owning
+// job's inbox. Interleaved jobs' batches therefore never cross: a frame
+// for job j is only ever delivered to job j's Exchange, a frame whose
+// width disagrees with the job's fails that job loudly, and a frame for a
+// job the deployment has never opened kills the node (cross-job
+// corruption is a protocol violation, not noise). Each worker's end of
+// the mesh is one muxNode — the same node a per-process NewTCPWorker
+// endpoint runs, wired by the same path.
 //
 // The deployment speaks one of two job-tagged frame formats, negotiated
 // per-deployment via WithWireFormat (default WireV4; every node of one
@@ -84,9 +87,10 @@ func WithWireQuantization(bits int) MeshOption {
 	return func(s *meshSettings) { s.quantBits = bits }
 }
 
-// NewTCPMeshDeployment wires a persistent k-worker loopback mesh and
-// starts its demux readers. Canceling ctx aborts the wiring (not the
-// finished deployment — tear that down with Close).
+// NewTCPMeshDeployment wires a persistent k-worker loopback mesh — k
+// listeners on 127.0.0.1:0, each worker wired by wireWorker — and starts
+// its demux readers. Canceling ctx aborts the wiring (not the finished
+// deployment — tear that down with Close).
 func NewTCPMeshDeployment(ctx context.Context, k int, opts ...MeshOption) (*TCPMeshDeployment, error) {
 	settings := meshSettings{format: WireV4}
 	for _, opt := range opts {
@@ -105,37 +109,60 @@ func NewTCPMeshDeployment(ctx context.Context, k int, opts ...MeshOption) (*TCPM
 			return nil, fmt.Errorf("transport: wire quantization keeps %d mantissa bits, valid range is 1..51", q)
 		}
 	}
-	ts, err := NewTCPMeshCtx(ctx, k)
-	if err != nil {
-		return nil, err
+	if k < 1 {
+		return nil, fmt.Errorf("transport: need at least 1 worker, got %d", k)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	listeners := make([]net.Listener, k)
+	addrs := make([]string, k)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, l := range listeners[:i] {
+				_ = l.Close()
+			}
+			return nil, fmt.Errorf("transport: listen worker %d: %w", i, err)
+		}
+		listeners[i], addrs[i] = ln, ln.Addr().String()
+	}
+	// Wire every worker concurrently; the first failure cancels the rest,
+	// so no acceptor waits out the deadline for a dial that never comes.
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	conns := make([][]net.Conn, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := range conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if conns[i], errs[i] = wireWorker(wctx, i, addrs, listeners[i], 0); errs[i] != nil {
+				cancel()
+			}
+		}(i)
+	}
+	wg.Wait()
+	var firstErr error
+	for _, err := range errs {
+		if err != nil && (firstErr == nil || errors.Is(firstErr, context.Canceled)) {
+			firstErr = err
+		}
+	}
+	if firstErr != nil {
+		for _, cs := range conns {
+			closeConns(cs)
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, firstErr
 	}
 	d := &TCPMeshDeployment{k: k, nodes: make([]*muxNode, k), format: settings.format}
-	for i, t := range ts {
-		d.nodes[i] = &muxNode{
-			worker:  i,
-			k:       k,
-			conns:   t.conns,
-			bufw:    make([]*bufio.Writer, k),
-			wmu:     make([]sync.Mutex, k),
-			enc:     make([]*v4Scratch, k),
-			format:  settings.format,
-			quant:   settings.quantBits,
-			wire:    &d.wire,
-			jobs:    make(map[uint32]*muxJob),
-			retired: make(map[uint32]struct{}),
-		}
-	}
-	for _, n := range d.nodes {
-		for peer := 0; peer < k; peer++ {
-			if peer == n.worker {
-				continue
-			}
-			d.readers.Add(1)
-			go func(n *muxNode, peer int) {
-				defer d.readers.Done()
-				n.readLoop(peer)
-			}(n, peer)
-		}
+	for i := range d.nodes {
+		d.nodes[i] = newMuxNode(i, conns[i], settings.format, settings.quantBits, &d.wire)
+		d.nodes[i].startReaders(&d.readers)
 	}
 	return d, nil
 }
@@ -182,8 +209,9 @@ func (d *TCPMeshDeployment) OpenJob(job uint32, width int) ([]Transport, error) 
 // connections close, and the demux readers are waited out. The cause is
 // recorded on every node before any connection closes: tearing node A
 // down makes node B's demux observe EOF on the shared connection, and
-// without the pre-marking pass a racing B could report that EOF as its
-// failure cause instead of ErrClosed.
+// without the pre-marking pass a racing B could treat that EOF as a
+// peer's clean close and fail its jobs with *PeerClosedError instead of
+// ErrClosed.
 func (d *TCPMeshDeployment) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -209,9 +237,10 @@ func (d *TCPMeshDeployment) Close() error {
 // head-of-line-block every other job on the connection.
 const jobFrameBuffer = 4
 
-// muxNode is one worker's endpoint of the deployment: the connections to
-// its peers (shared by every job), per-peer write locks, and the demux
-// table routing incoming frames to jobs.
+// muxNode is one worker's endpoint of a TCP mesh — a deployment's node or
+// a per-process NewTCPWorker: the connections to its peers (shared by
+// every job), per-peer write locks, and the demux table routing incoming
+// frames to jobs.
 type muxNode struct {
 	worker int
 	k      int
@@ -228,6 +257,52 @@ type muxNode struct {
 	retired  map[uint32]struct{}
 	failed   error // demux death (conn error, cross-job frame); nil while healthy
 	tornDown bool  // fail already ran (jobs failed, connections closed)
+	gone     error // first peer that closed cleanly (*PeerClosedError); nil while all are up
+}
+
+// newMuxNode builds worker's node over its wired connections (conns[peer],
+// nil at index == worker).
+func newMuxNode(worker int, conns []net.Conn, format WireFormat, quant int, wire *atomic.Int64) *muxNode {
+	k := len(conns)
+	return &muxNode{
+		worker:  worker,
+		k:       k,
+		conns:   conns,
+		bufw:    make([]*bufio.Writer, k),
+		wmu:     make([]sync.Mutex, k),
+		enc:     make([]*v4Scratch, k),
+		format:  format,
+		quant:   quant,
+		wire:    wire,
+		jobs:    make(map[uint32]*muxJob),
+		retired: make(map[uint32]struct{}),
+	}
+}
+
+// startReaders launches one demux goroutine per peer connection, counted
+// on readers.
+func (n *muxNode) startReaders(readers *sync.WaitGroup) {
+	for peer, c := range n.conns {
+		if c == nil {
+			continue
+		}
+		readers.Add(1)
+		go func(peer int) {
+			defer readers.Done()
+			n.readLoop(peer)
+		}(peer)
+	}
+}
+
+// PeerClosedError reports that a peer closed its connection cleanly — at
+// a frame boundary, the way a worker that finished its last superstep
+// exits — while a job still needed a frame from it.
+type PeerClosedError struct {
+	Worker int // the peer that closed
+}
+
+func (e *PeerClosedError) Error() string {
+	return fmt.Sprintf("transport: worker %d closed its connection", e.Worker)
 }
 
 // jobFrame is one decoded frame queued for a job's Exchange.
@@ -255,6 +330,9 @@ func (n *muxNode) openJob(job uint32, width int) (*muxJob, error) {
 	defer n.mu.Unlock()
 	if n.failed != nil {
 		return nil, fmt.Errorf("transport: worker %d deployment failed: %w", n.worker, n.failed)
+	}
+	if n.gone != nil {
+		return nil, fmt.Errorf("transport: worker %d cannot open job %d: %w", n.worker, job, n.gone)
 	}
 	if _, open := n.jobs[job]; open {
 		return nil, fmt.Errorf("transport: job %d already open", job)
@@ -338,21 +416,28 @@ func (n *muxNode) fail(cause error) {
 
 // readLoop is the demux for one peer connection: it decodes job frames of
 // the deployment's negotiated format and routes them to the owning job's
-// inbox until the connection dies.
+// inbox until the peer closes cleanly (peerClosed) or the connection
+// fails (fail).
 func (n *muxNode) readLoop(peer int) {
 	br := bufio.NewReaderSize(n.conns[peer], 1<<16)
 	var dec v4Scratch // per-connection decode scratch, reused across frames
 	for {
+		// A clean EOF at a frame boundary is a peer that is done, not a
+		// fault; an EOF inside a frame still fails the node below.
+		_, err := br.Peek(1)
+		if err == io.EOF {
+			n.peerClosed(peer)
+			return
+		}
 		var (
 			job    uint32
 			step   int
 			active bool
 			batch  *MessageBatch
-			err    error
 		)
-		if n.format == WireV4 {
+		if err == nil && n.format == WireV4 {
 			job, step, active, batch, err = readJobFrameV4(br, &dec)
-		} else {
+		} else if err == nil {
 			job, step, active, batch, err = readJobFrame(br)
 		}
 		if err != nil {
@@ -362,6 +447,27 @@ func (n *muxNode) readLoop(peer int) {
 		if !n.route(peer, job, jobFrame{step: step, active: active, batch: batch}) {
 			return
 		}
+	}
+}
+
+// peerClosed handles peer's clean close: the frames it already sent stay
+// queued, after which every open job's inbox from it closes (an Exchange
+// still waiting on that peer fails with *PeerClosedError) and new jobs
+// are refused. Only this peer's read loop sends on those inboxes, and it
+// has stopped, so closing them cannot race a send. On a node already
+// marked failed the EOF is its own teardown's echo: that teardown
+// releases the jobs with the recorded cause.
+func (n *muxNode) peerClosed(peer int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.failed != nil {
+		return
+	}
+	if n.gone == nil {
+		n.gone = &PeerClosedError{Worker: peer}
+	}
+	for _, j := range n.jobs {
+		close(j.in[peer])
 	}
 }
 
@@ -459,8 +565,9 @@ func (j *muxJob) drainInboxes() {
 		}
 		for drained := false; !drained; {
 			select {
-			case f := <-ch:
+			case f, ok := <-ch:
 				RecycleBatch(f.batch)
+				drained = !ok
 			default:
 				drained = true
 			}
@@ -527,7 +634,13 @@ func (j *muxJob) Exchange(worker, step int, out []*MessageBatch, active bool) (E
 			continue
 		}
 		select {
-		case f := <-j.in[peer]:
+		case f, ok := <-j.in[peer]:
+			if !ok {
+				if firstErr == nil {
+					firstErr = &PeerClosedError{Worker: peer}
+				}
+				continue
+			}
 			if f.step != step {
 				RecycleBatch(f.batch)
 				if firstErr == nil {
@@ -574,9 +687,9 @@ func (j *muxJob) Exchange(worker, step int, out []*MessageBatch, active bool) (E
 	if firstErr != nil {
 		return ExchangeResult{}, firstErr
 	}
-	// Like the single-job TCP transport, peer-wait cannot be separated
-	// from wire time without extra control round-trips: Wait stays 0 and
-	// callers attribute the whole exchange to communication.
+	// Peer-wait cannot be separated from wire time without extra control
+	// round-trips: Wait stays 0 and callers attribute the whole exchange
+	// to communication.
 	return res, nil
 }
 
@@ -593,11 +706,22 @@ func (j *muxJob) Close() error {
 
 const (
 	// jobFrameMagic marks a job-mux (version 3) frame; see
-	// TCPMeshDeployment. Distinct from the single-job "EBVM" so mixed-era
+	// TCPMeshDeployment. Distinct from the v4 magic so mixed-version
 	// peers fail the first frame loudly.
 	jobFrameMagic = 0x4542564A // "EBVJ"
 
 	jobFrameHeaderBytes = 21 // magic + job + step + active + width + count
+
+	// maxWireWidth and maxWireMessages bound what a frame header may
+	// claim, so a corrupt or hostile peer cannot force a giant
+	// allocation. The product bound caps the value column at 2 GiB —
+	// comfortably inside the u32 byte-length prefix (2^28 values × 8
+	// bytes = 2^31). The writers enforce the same bounds, so an oversized
+	// batch fails with a clear local error instead of a corrupt-frame
+	// error at the receiver.
+	maxWireWidth    = MaxValueWidth
+	maxWireMessages = 1 << 28
+	maxWireValues   = 1 << 28
 )
 
 // writeJobFrame encodes one job-tagged columnar frame into bw and flushes
@@ -644,7 +768,7 @@ func readJobFrame(br *bufio.Reader) (job uint32, step int, active bool, batch *M
 				"job frame magic %#x is wire v4 (EBV4): peer speaks the compressed format to a v3 deployment — align WithWireFormat across every node", magic)
 		}
 		return 0, 0, false, nil, fmt.Errorf(
-			"bad job frame magic %#x (peer speaking a single-job wire format?)", magic)
+			"bad job frame magic %#x (peer speaking another wire format?)", magic)
 	}
 	job = binary.LittleEndian.Uint32(header[4:8])
 	step = int(binary.LittleEndian.Uint32(header[8:12]))
@@ -661,10 +785,76 @@ func readJobFrame(br *bufio.Reader) (job uint32, step int, active bool, batch *M
 	return job, step, active, batch, nil
 }
 
+// writeColumns writes a batch's ID and value columns as two length-prefixed
+// 64 KiB-block runs — the column body of the v3 frame format.
+func writeColumns(bw *bufio.Writer, batch *MessageBatch, count, width int) error {
+	var prefix [4]byte
+	binary.LittleEndian.PutUint32(prefix[:], uint32(count*4))
+	if _, err := bw.Write(prefix[:]); err != nil {
+		return err
+	}
+	if err := graph.WriteBlocks(bw, count, 4, func(dst []byte, i int) {
+		binary.LittleEndian.PutUint32(dst, batch.IDs[i])
+	}); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(prefix[:], uint32(count*width*8))
+	if _, err := bw.Write(prefix[:]); err != nil {
+		return err
+	}
+	return graph.WriteBlocks(bw, count*width, 8, func(dst []byte, i int) {
+		binary.LittleEndian.PutUint64(dst, math.Float64bits(batch.Vals[i]))
+	})
+}
+
+// readColumns validates a frame's claimed shape and reads its ID and value
+// columns into a pooled batch owned by the caller — the column body of the
+// v3 frame format.
+func readColumns(br *bufio.Reader, width, count int) (*MessageBatch, error) {
+	if width < 1 || width > maxWireWidth {
+		return nil, fmt.Errorf("frame width %d out of range [1,%d]", width, maxWireWidth)
+	}
+	if count < 0 || count > maxWireMessages || count*width > maxWireValues {
+		return nil, fmt.Errorf("frame of %d messages × width %d exceeds the wire cap",
+			count, width)
+	}
+	var prefix [4]byte
+	if _, err := io.ReadFull(br, prefix[:]); err != nil {
+		return nil, err
+	}
+	if got := int(binary.LittleEndian.Uint32(prefix[:])); got != count*4 {
+		return nil, fmt.Errorf("id column is %d bytes, want %d", got, count*4)
+	}
+	b := GetBatch(width)
+	b.IDs = slices.Grow(b.IDs, count)[:count]
+	b.Vals = slices.Grow(b.Vals, count*width)[:count*width]
+	if err := graph.ReadBlocks(br, count, 4, func(src []byte, i int) {
+		b.IDs[i] = binary.LittleEndian.Uint32(src)
+	}); err != nil {
+		RecycleBatch(b)
+		return nil, err
+	}
+	if _, err := io.ReadFull(br, prefix[:]); err != nil {
+		RecycleBatch(b)
+		return nil, err
+	}
+	if got := int(binary.LittleEndian.Uint32(prefix[:])); got != count*width*8 {
+		RecycleBatch(b)
+		return nil, fmt.Errorf("value column is %d bytes, want %d", got, count*width*8)
+	}
+	if err := graph.ReadBlocks(br, count*width, 8, func(src []byte, i int) {
+		b.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+	}); err != nil {
+		RecycleBatch(b)
+		return nil, err
+	}
+	return b, nil
+}
+
 const (
 	// jobFrameMagicV4 marks a compressed job-mux (version 4) frame; see
-	// TCPMeshDeployment. Distinct from v3's "EBVJ" and v2's "EBVM" so any
-	// mixed-version pairing fails its first frame loudly.
+	// TCPMeshDeployment. Distinct from v3's "EBVJ" so a mixed-version
+	// pairing fails its first frame loudly.
 	jobFrameMagicV4 = 0x45425634 // "EBV4"
 
 	// jobFrameHeaderBytesV4: magic + job + step + active + flags + width +
@@ -769,7 +959,7 @@ func readJobFrameV4(br *bufio.Reader, s *v4Scratch) (job uint32, step int, activ
 				"job frame magic %#x is wire v3 (EBVJ): peer speaks the raw format to a v4 deployment — align WithWireFormat across every node", magic)
 		}
 		return 0, 0, false, nil, fmt.Errorf(
-			"bad v4 job frame magic %#x (peer speaking a single-job wire format?)", magic)
+			"bad v4 job frame magic %#x (peer speaking another wire format?)", magic)
 	}
 	job = binary.LittleEndian.Uint32(header[4:8])
 	step = int(binary.LittleEndian.Uint32(header[8:12]))

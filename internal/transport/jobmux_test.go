@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -239,8 +241,8 @@ func TestJobMuxUnknownJobFrameKillsNode(t *testing.T) {
 	}
 }
 
-// TestJobMuxSingleJobFramePeerRejected: a peer speaking the single-job v2
-// wire format fails the job-mux magic check on the first frame.
+// TestJobMuxSingleJobFramePeerRejected: a peer speaking the retired
+// single-job wire format fails the job-mux magic check on the first frame.
 func TestJobMuxSingleJobFramePeerRejected(t *testing.T) {
 	d, err := NewTCPMeshDeployment(t.Context(), 2)
 	if err != nil {
@@ -251,8 +253,18 @@ func TestJobMuxSingleJobFramePeerRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := bufio.NewWriter(d.nodes[0].conns[1])
-	if err := writeFrame(bw, 0, true, jobBatch(1, 3, 1)); err != nil { // v2 frame
+	// One message (id 3, value 1) in the single-job layout: magic "EBVM",
+	// step, active, width, count, then the length-prefixed columns.
+	frame := binary.LittleEndian.AppendUint32(nil, 0x4542564D) // "EBVM"
+	frame = binary.LittleEndian.AppendUint32(frame, 0)
+	frame = append(frame, 1)
+	frame = binary.LittleEndian.AppendUint32(frame, 1)
+	frame = binary.LittleEndian.AppendUint32(frame, 1)
+	frame = binary.LittleEndian.AppendUint32(frame, 4)
+	frame = binary.LittleEndian.AppendUint32(frame, 3)
+	frame = binary.LittleEndian.AppendUint32(frame, 8)
+	frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(1))
+	if _, err := d.nodes[0].conns[1].Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)

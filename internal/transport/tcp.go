@@ -1,451 +1,272 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
-	"slices"
 	"sync"
-
-	"ebv/internal/graph"
+	"sync/atomic"
+	"time"
 )
 
-// TCP is a Transport over a full mesh of TCP connections. Each worker owns
-// one TCP instance; every step it writes exactly one frame to every peer
-// and reads exactly one frame from every peer, so streams stay aligned
-// without sequence tracking (the step number is still carried and checked
-// defensively).
+// defaultDialTimeout bounds a worker's mesh wiring when the caller names
+// no budget.
+const defaultDialTimeout = 30 * time.Second
+
+// wireWorker connects one worker of a k-worker TCP mesh (k = len(addrs))
+// to every peer and returns conns[peer] (nil at index == worker). It
+// accepts the lower ids on ln — listening on addrs[worker] when ln is
+// nil — and dials the higher ids with DialBackoff, so workers may start
+// in any order; every connection opens with a 4-byte hello naming the
+// dialer, which is how the acceptor slots it. The wiring is bounded by
+// dialTimeout and aborts on ctx. It takes ownership of ln and closes it
+// before returning (the listener's only purpose is wiring); on error
+// every connection it opened is closed.
 //
-// Frame layout (little endian), version 2 — the columnar format:
-//
-//	u32 magic "EBVM" | u32 step | u8 active | u32 width | u32 count |
-//	u32 idBytes  | count × u32 vertex id        (64 KiB blocks)
-//	u32 valBytes | count·width × f64 value      (64 KiB blocks)
-//
-// The ID and value columns are length-prefixed and move through the PR 2
-// block reader/writer (graph.WriteBlocks/ReadBlocks). The magic word is
-// the cross-version guard: a peer still speaking the pre-columnar scalar
-// format (whose first field was the raw step number) fails the magic check
-// immediately instead of desynchronizing the stream.
-type TCP struct {
-	worker int
-	k      int
-	conns  []net.Conn // conns[peer]; nil at index == worker
-	bufw   []*bufio.Writer
-	bufr   []*bufio.Reader
-	mu     sync.Mutex
-	closed bool
-}
-
-var _ Transport = (*TCP)(nil)
-
-// newTCP allocates a TCP transport shell with empty connection slots.
-func newTCP(worker, k int) *TCP {
-	return &TCP{
-		worker: worker,
-		k:      k,
-		conns:  make([]net.Conn, k),
-		bufw:   make([]*bufio.Writer, k),
-		bufr:   make([]*bufio.Reader, k),
-	}
-}
-
-// NewTCPMesh constructs k TCP transports connected in a full mesh over the
-// loopback interface. It is the single-process entry point used by tests,
-// the distributed example and the transport ablation bench; a multi-host
-// deployment would dial remote addresses instead but uses the same frame
-// protocol.
-func NewTCPMesh(k int) ([]*TCP, error) {
-	return NewTCPMeshCtx(context.Background(), k) //ebv:nolint ctxflow ctx-less compat wrapper; NewTCPMeshCtx is the cancellable entry point
-}
-
-// NewTCPMeshCtx is NewTCPMesh with cancellation: dials honor ctx's
-// deadline/cancellation, and canceling ctx while the mesh is being wired
-// closes the listeners so blocked accepts abort. A canceled construction
-// returns ctx.Err() with every partially-opened connection closed.
-func NewTCPMeshCtx(ctx context.Context, k int) ([]*TCP, error) {
+// This is the one wiring path: NewTCPMeshDeployment runs it once per
+// worker over loopback listeners, NewTCPWorker once per process.
+func wireWorker(ctx context.Context, worker int, addrs []string, ln net.Listener, dialTimeout time.Duration) ([]net.Conn, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("transport: need at least 1 worker, got %d", k)
-	}
-	listeners := make([]net.Listener, k)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			closeAll(listeners[:i])
-			return nil, fmt.Errorf("transport: listen worker %d: %w", i, err)
-		}
-		listeners[i] = ln
-	}
-	ts := make([]*TCP, k)
-	for i := range ts {
-		ts[i] = newTCP(i, k)
-	}
-
-	// Cancellation mid-wiring: closing the listeners aborts blocked
-	// accepts; in-flight dials abort through DialContext.
-	stopWatch := context.AfterFunc(ctx, func() { closeAll(listeners) })
-	defer stopWatch()
-
-	// Dial the upper triangle concurrently; accept on the lower.
-	var dialer net.Dialer
-	var wg sync.WaitGroup
-	errCh := make(chan error, 1)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			wg.Add(1)
-			go func(i, j int) {
-				defer wg.Done()
-				conn, err := dialer.DialContext(ctx, "tcp", listeners[j].Addr().String())
-				if err != nil {
-					select {
-					case errCh <- fmt.Errorf("transport: dial %d->%d: %w", i, j, err):
-					default:
-					}
-					return
-				}
-				// Identify ourselves so the acceptor can slot the conn.
-				var hello [4]byte
-				binary.LittleEndian.PutUint32(hello[:], uint32(i))
-				if _, err := conn.Write(hello[:]); err != nil {
-					select {
-					case errCh <- fmt.Errorf("transport: hello %d->%d: %w", i, j, err):
-					default:
-					}
-					return
-				}
-				ts[i].conns[j] = conn
-			}(i, j)
-		}
-	}
-	for j := 0; j < k; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			for accepted := 0; accepted < j; accepted++ {
-				conn, err := listeners[j].Accept()
-				if err != nil {
-					select {
-					case errCh <- fmt.Errorf("transport: accept worker %d: %w", j, err):
-					default:
-					}
-					return
-				}
-				var hello [4]byte
-				if _, err := io.ReadFull(conn, hello[:]); err != nil {
-					select {
-					case errCh <- fmt.Errorf("transport: read hello worker %d: %w", j, err):
-					default:
-					}
-					return
-				}
-				peer := int(binary.LittleEndian.Uint32(hello[:]))
-				if peer < 0 || peer >= k {
-					select {
-					case errCh <- fmt.Errorf("transport: bad hello id %d at worker %d", peer, j):
-					default:
-					}
-					return
-				}
-				ts[j].conns[peer] = conn
-			}
-		}(j)
-	}
-	wg.Wait()
-	closeAll(listeners)
-	if err := ctx.Err(); err != nil {
-		for _, t := range ts {
-			_ = t.Close()
-		}
-		return nil, err
-	}
-	select {
-	case err := <-errCh:
-		for _, t := range ts {
-			_ = t.Close()
-		}
-		return nil, err
-	default:
-	}
-	return ts, nil
-}
-
-func closeAll(listeners []net.Listener) {
-	for _, ln := range listeners {
+	k := len(addrs)
+	if worker < 0 || worker >= k {
 		if ln != nil {
 			_ = ln.Close()
 		}
+		return nil, fmt.Errorf("transport: worker %d out of range [0,%d)", worker, k)
 	}
-}
-
-// NumWorkers implements Transport.
-func (t *TCP) NumWorkers() int { return t.k }
-
-// writerTo returns the buffered writer for peer, created on first use
-// (each peer's writer is only touched by that peer's write goroutine).
-func (t *TCP) writerTo(peer int) *bufio.Writer {
-	if t.bufw[peer] == nil {
-		t.bufw[peer] = bufio.NewWriterSize(t.conns[peer], 1<<16)
-	}
-	return t.bufw[peer]
-}
-
-// readerFrom returns the buffered reader for peer, created on first use
-// (reads are sequential on the Exchange goroutine).
-func (t *TCP) readerFrom(peer int) *bufio.Reader {
-	if t.bufr[peer] == nil {
-		t.bufr[peer] = bufio.NewReaderSize(t.conns[peer], 1<<16)
-	}
-	return t.bufr[peer]
-}
-
-// Exchange implements Transport.
-func (t *TCP) Exchange(worker, step int, out []*MessageBatch, active bool) (ExchangeResult, error) {
-	if worker != t.worker {
-		return ExchangeResult{}, fmt.Errorf("transport: tcp instance owns worker %d, called as %d",
-			t.worker, worker)
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return ExchangeResult{}, ErrClosed
-	}
-	t.mu.Unlock()
-
-	res := ExchangeResult{In: make([]*MessageBatch, t.k), AnyActive: active}
-	if worker < len(out) {
-		res.In[worker] = out[worker] // self-delivery without the network
-	}
-
-	// Write one frame to every peer concurrently (writes may block on
-	// socket buffers, so they must not serialize with our reads).
-	var wg sync.WaitGroup
-	errCh := make(chan error, t.k)
-	for peer := 0; peer < t.k; peer++ {
-		if peer == worker {
-			continue
+	if k == 1 { // a lone worker has no peers
+		if ln != nil {
+			_ = ln.Close()
 		}
-		var batch *MessageBatch
-		if peer < len(out) {
-			batch = out[peer]
+		return make([]net.Conn, 1), nil
+	}
+	if dialTimeout <= 0 {
+		dialTimeout = defaultDialTimeout
+	}
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", addrs[worker]); err != nil {
+			return nil, fmt.Errorf("transport: listen %s: %w", addrs[worker], err)
 		}
-		wg.Add(1)
-		go func(peer int, batch *MessageBatch) {
-			defer wg.Done()
-			if err := writeFrame(t.writerTo(peer), step, active, batch); err != nil {
-				errCh <- fmt.Errorf("transport: write to %d: %w", peer, err)
+	}
+	defer ln.Close()
+	// Cancellation aborts a blocked Accept by closing the listener; the
+	// dials run under wctx, which also ends when wiring returns, so a
+	// failed wiring leaves no dial retrying until the deadline.
+	stopWatch := context.AfterFunc(ctx, func() { _ = ln.Close() })
+	defer stopWatch()
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	// Dial every higher-id peer concurrently and accept from lower ids; a
+	// single loop collects both sides. abort tells straggling producers —
+	// a dial that succeeded after the wiring already failed — to close
+	// their connection instead of leaking it into an unread channel.
+	type wired struct {
+		peer int
+		conn net.Conn
+		err  error
+	}
+	results := make(chan wired)
+	abort := make(chan struct{})
+	defer close(abort)
+	send := func(r wired) {
+		select {
+		case results <- r:
+		case <-abort:
+			if r.conn != nil {
+				_ = r.conn.Close()
 			}
-		}(peer, batch)
+		}
 	}
+	deadline := time.Now().Add(dialTimeout)
+	for peer := worker + 1; peer < k; peer++ {
+		go func(peer int) {
+			conn, err := DialBackoff(wctx, addrs[peer], deadline)
+			if err != nil {
+				send(wired{err: fmt.Errorf("dial peer %d (%s): %w", peer, addrs[peer], err)})
+				return
+			}
+			var hello [4]byte
+			binary.LittleEndian.PutUint32(hello[:], uint32(worker))
+			if _, err := conn.Write(hello[:]); err != nil {
+				_ = conn.Close()
+				send(wired{err: fmt.Errorf("hello to %d: %w", peer, err)})
+				return
+			}
+			send(wired{peer: peer, conn: conn})
+		}(peer)
+	}
+	go func() {
+		for i := 0; i < worker; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				send(wired{err: fmt.Errorf("accept: %w", err)})
+				return
+			}
+			var hello [4]byte
+			_ = conn.SetReadDeadline(deadline)
+			if _, err := io.ReadFull(conn, hello[:]); err != nil {
+				_ = conn.Close()
+				send(wired{err: fmt.Errorf("read hello: %w", err)})
+				return
+			}
+			_ = conn.SetReadDeadline(time.Time{})
+			peer := int(binary.LittleEndian.Uint32(hello[:]))
+			if peer < 0 || peer >= worker {
+				_ = conn.Close()
+				send(wired{err: fmt.Errorf("bad hello id %d", peer)})
+				return
+			}
+			send(wired{peer: peer, conn: conn})
+		}
+	}()
 
-	// Read one frame from every peer. Sequential reads are fine: every
-	// peer is writing concurrently from its own goroutines.
-	var firstErr error
-	for peer := 0; peer < t.k; peer++ {
-		if peer == worker {
-			continue
-		}
-		gotStep, peerActive, batch, err := readFrame(t.readerFrom(peer))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("transport: read from %d: %w", peer, err)
+	conns := make([]net.Conn, k)
+	timeout := time.After(dialTimeout)
+	var err error
+	for need := k - 1; need > 0 && err == nil; need-- {
+		select {
+		case r := <-results:
+			switch {
+			case r.err != nil:
+				err = fmt.Errorf("transport: wiring worker %d: %w", worker, r.err)
+			case conns[r.peer] != nil:
+				_ = r.conn.Close()
+				err = fmt.Errorf("transport: worker %d wired peer %d twice", worker, r.peer)
+			default:
+				conns[r.peer] = r.conn
 			}
-			continue
+		case <-ctx.Done(): // reported below
+		case <-timeout:
+			err = fmt.Errorf("transport: worker %d timed out waiting for peers", worker)
 		}
-		if gotStep != step {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("transport: step skew from %d: got %d want %d",
-					peer, gotStep, step)
-			}
-			continue
-		}
-		res.In[peer] = batch
-		res.AnyActive = res.AnyActive || peerActive
-	}
-	wg.Wait()
-	close(errCh)
-	if firstErr == nil {
-		for err := range errCh {
-			firstErr = err
-			break
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			err = ctxErr
 		}
 	}
-	// Frames are on the wire (or abandoned): the outgoing batches are ours
-	// to recycle. The self slot stays alive — it was handed back in In.
-	for peer := 0; peer < t.k && peer < len(out); peer++ {
-		if peer != worker {
-			RecycleBatch(out[peer])
-		}
+	if err != nil {
+		closeConns(conns)
+		return nil, err
 	}
-	if firstErr != nil {
-		return ExchangeResult{}, firstErr
-	}
-	// The TCP transport cannot separate peer-wait from wire time without
-	// extra control round-trips; report Wait=0 and let callers attribute
-	// the whole exchange to communication (documented in DESIGN.md).
-	return res, nil
+	return conns, nil
 }
 
-// Close implements Transport.
-func (t *TCP) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	for _, c := range t.conns {
+func closeConns(conns []net.Conn) {
+	for _, c := range conns {
 		if c != nil {
 			_ = c.Close()
 		}
 	}
+}
+
+// workerJob is the id of a per-process endpoint's single job.
+const workerJob = 0
+
+// NewTCPWorker builds one worker's endpoint of a multi-process TCP mesh
+// from an explicit address list: addrs[i] is where worker i listens. Each
+// process calls it with its own id; ln, when non-nil, is the worker's
+// already-bound listener (addrs[worker] is then ignored — the cluster
+// agent binds an ephemeral port before the peer list exists), otherwise
+// the endpoint listens on addrs[worker]. Peers are wired by the same path
+// as the loopback mesh (wireWorker: dials retried with exponential
+// backoff until dialTimeout; ctx aborts the wait), and the endpoint
+// speaks the deployment's default wire, v4 with a CRC-32C on every frame.
+//
+// The returned Transport serves one job of the given value width: it is
+// registered before the demux readers start, so a fast peer's first frame
+// always finds its inbox. Close tears the endpoint down — connections
+// included, so peers observe it exactly as they would a crashed process.
+// A peer that finishes and closes cleanly does not fail this endpoint:
+// its buffered frames are still delivered, and only an exchange that
+// needs a further frame from it fails, with *PeerClosedError.
+func NewTCPWorker(ctx context.Context, worker int, addrs []string, ln net.Listener, dialTimeout time.Duration, width int) (Transport, error) {
+	if width < 1 || width > MaxValueWidth {
+		if ln != nil {
+			_ = ln.Close()
+		}
+		return nil, fmt.Errorf("transport: width %d out of range [1,%d]", width, MaxValueWidth)
+	}
+	conns, err := wireWorker(ctx, worker, addrs, ln, dialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	w := &tcpWorker{}
+	node := newMuxNode(worker, conns, WireV4, 0, &w.wire)
+	if w.muxJob, err = node.openJob(workerJob, width); err != nil {
+		closeConns(conns)
+		return nil, err
+	}
+	node.startReaders(&w.readers)
+	return w, nil
+}
+
+// tcpWorker is a per-process endpoint: one mux node serving its single
+// job.
+type tcpWorker struct {
+	*muxJob
+	readers sync.WaitGroup
+	wire    atomic.Int64
+}
+
+// Close implements Transport: the node fails with ErrClosed (releasing a
+// blocked Exchange), its connections close, and the demux readers are
+// waited out.
+func (w *tcpWorker) Close() error {
+	w.node.fail(ErrClosed)
+	w.readers.Wait()
 	return nil
 }
 
-const (
-	// frameMagic marks a columnar (version 2) message frame. The
-	// pre-columnar format began with the raw step number, so any legacy
-	// peer fails the magic comparison on the first frame.
-	frameMagic = 0x4542564D // "EBVM"
-
-	frameHeaderBytes = 17 // magic + step + active + width + count
-
-	// maxWireWidth and maxWireMessages bound what a frame header may
-	// claim, so a corrupt or hostile peer cannot force a giant
-	// allocation. The product bound caps the value column at 2 GiB —
-	// comfortably inside the u32 byte-length prefix (2^28 values × 8
-	// bytes = 2^31). writeFrame enforces the same bounds, so an
-	// oversized batch fails with a clear local error instead of a
-	// corrupt-frame error at the receiver.
-	maxWireWidth    = MaxValueWidth
-	maxWireMessages = 1 << 28
-	maxWireValues   = 1 << 28
-)
-
-// writeFrame encodes one columnar frame into bw and flushes it. A nil or
-// empty batch writes an empty frame (count 0, no columns).
-func writeFrame(bw *bufio.Writer, step int, active bool, batch *MessageBatch) error {
-	var header [frameHeaderBytes]byte
-	binary.LittleEndian.PutUint32(header[0:4], frameMagic)
-	binary.LittleEndian.PutUint32(header[4:8], uint32(step))
-	if active {
-		header[8] = 1
-	}
-	width, count := 0, 0
-	if batch != nil {
-		width, count = batch.Width, batch.Len()
-	}
-	if count > maxWireMessages || count*width > maxWireValues {
-		return fmt.Errorf("batch of %d messages × width %d exceeds the wire cap (%d messages, %d values)",
-			count, width, maxWireMessages, maxWireValues)
-	}
-	binary.LittleEndian.PutUint32(header[9:13], uint32(width))
-	binary.LittleEndian.PutUint32(header[13:17], uint32(count))
-	if _, err := bw.Write(header[:]); err != nil {
-		return err
-	}
-	if count > 0 {
-		if err := writeColumns(bw, batch, count, width); err != nil {
-			return err
+// DialBackoff dials addr with retries under exponential backoff (10ms
+// doubling to a 1s ceiling) until the dial succeeds, ctx is canceled or
+// deadline passes. Peers racing to bind their listeners converge fast (the
+// early retries are cheap) without hammering a peer that is minutes away.
+func DialBackoff(ctx context.Context, addr string, deadline time.Time) (net.Conn, error) {
+	backoff := 10 * time.Millisecond
+	const maxBackoff = time.Second
+	var lastErr error
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			break
+		}
+		attempt := time.Second
+		if remaining < attempt {
+			attempt = remaining
+		}
+		dialCtx, cancel := context.WithTimeout(ctx, attempt)
+		conn, err := (&net.Dialer{}).DialContext(dialCtx, "tcp", addr)
+		cancel()
+		if err == nil {
+			return conn, nil
+		}
+		lastErr = err
+		sleep := backoff
+		if rem := time.Until(deadline); sleep > rem {
+			sleep = rem
+		}
+		if sleep > 0 {
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-time.After(sleep):
+			}
+		}
+		if backoff *= 2; backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 	}
-	return bw.Flush()
-}
-
-// writeColumns writes a batch's ID and value columns as two length-prefixed
-// 64 KiB-block runs — the column body shared by the single-job (v2) and
-// job-mux (v3) frame formats.
-func writeColumns(bw *bufio.Writer, batch *MessageBatch, count, width int) error {
-	var prefix [4]byte
-	binary.LittleEndian.PutUint32(prefix[:], uint32(count*4))
-	if _, err := bw.Write(prefix[:]); err != nil {
-		return err
+	if lastErr == nil {
+		lastErr = errors.New("deadline passed")
 	}
-	if err := graph.WriteBlocks(bw, count, 4, func(dst []byte, i int) {
-		binary.LittleEndian.PutUint32(dst, batch.IDs[i])
-	}); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(prefix[:], uint32(count*width*8))
-	if _, err := bw.Write(prefix[:]); err != nil {
-		return err
-	}
-	return graph.WriteBlocks(bw, count*width, 8, func(dst []byte, i int) {
-		binary.LittleEndian.PutUint64(dst, math.Float64bits(batch.Vals[i]))
-	})
-}
-
-// readFrame decodes one columnar frame. A non-empty frame returns a pooled
-// batch owned by the caller.
-func readFrame(br *bufio.Reader) (step int, active bool, batch *MessageBatch, err error) {
-	var header [frameHeaderBytes]byte
-	if _, err = io.ReadFull(br, header[:]); err != nil {
-		return 0, false, nil, err
-	}
-	if magic := binary.LittleEndian.Uint32(header[0:4]); magic != frameMagic {
-		return 0, false, nil, fmt.Errorf(
-			"bad frame magic %#x (peer speaking the pre-columnar wire format?)", magic)
-	}
-	step = int(binary.LittleEndian.Uint32(header[4:8]))
-	active = header[8] == 1
-	width := int(binary.LittleEndian.Uint32(header[9:13]))
-	count := int(binary.LittleEndian.Uint32(header[13:17]))
-	if count == 0 {
-		return step, active, nil, nil
-	}
-	b, err := readColumns(br, width, count)
-	if err != nil {
-		return 0, false, nil, err
-	}
-	return step, active, b, nil
-}
-
-// readColumns validates a frame's claimed shape and reads its ID and value
-// columns into a pooled batch owned by the caller — the column body shared
-// by the single-job (v2) and job-mux (v3) frame formats.
-func readColumns(br *bufio.Reader, width, count int) (*MessageBatch, error) {
-	if width < 1 || width > maxWireWidth {
-		return nil, fmt.Errorf("frame width %d out of range [1,%d]", width, maxWireWidth)
-	}
-	if count < 0 || count > maxWireMessages || count*width > maxWireValues {
-		return nil, fmt.Errorf("frame of %d messages × width %d exceeds the wire cap",
-			count, width)
-	}
-	var prefix [4]byte
-	if _, err := io.ReadFull(br, prefix[:]); err != nil {
-		return nil, err
-	}
-	if got := int(binary.LittleEndian.Uint32(prefix[:])); got != count*4 {
-		return nil, fmt.Errorf("id column is %d bytes, want %d", got, count*4)
-	}
-	b := GetBatch(width)
-	b.IDs = slices.Grow(b.IDs, count)[:count]
-	b.Vals = slices.Grow(b.Vals, count*width)[:count*width]
-	if err := graph.ReadBlocks(br, count, 4, func(src []byte, i int) {
-		b.IDs[i] = binary.LittleEndian.Uint32(src)
-	}); err != nil {
-		RecycleBatch(b)
-		return nil, err
-	}
-	if _, err := io.ReadFull(br, prefix[:]); err != nil {
-		RecycleBatch(b)
-		return nil, err
-	}
-	if got := int(binary.LittleEndian.Uint32(prefix[:])); got != count*width*8 {
-		RecycleBatch(b)
-		return nil, fmt.Errorf("value column is %d bytes, want %d", got, count*width*8)
-	}
-	if err := graph.ReadBlocks(br, count*width, 8, func(src []byte, i int) {
-		b.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
-	}); err != nil {
-		RecycleBatch(b)
-		return nil, err
-	}
-	return b, nil
+	return nil, lastErr
 }
